@@ -5,24 +5,44 @@
 //! effects are "exacerbated further due to the device variations"
 //! (Section 1). This sweep quantifies that: classification accuracy
 //! versus programming spread (lognormal sigma) and stuck-at fault
-//! rates.
+//! rates. Each tile is programmed through the non-ideality zoo with a
+//! lognormal spread followed by stuck-at faults (split evenly between
+//! stuck-off and stuck-on), so a stuck cell overrides its spread value.
 //!
 //! ```text
 //! cargo run --release -p geniex-bench --bin ablation_variations
 //! ```
 
-use funcsim::{evaluate_spec, AnalyticalEngine, ArchConfig, IdealEngine, VariationEngine};
+use funcsim::{
+    evaluate_spec, AnalyticalEngine, ArchConfig, CrossbarEngine, IdealEngine, ZooEngine,
+};
 use geniex_bench::setup::{accuracy_design_point, results_dir, standard_workload, DEFAULT_SIZE};
 use geniex_bench::table::{fix, pct, Table};
 use vision::{rescale_for_fxp, SynthSpec, SynthVision};
-use xbar::VariationConfig;
+use xbar::zoo::{LognormalSpread, NonIdealityStack, StuckAtFaults};
+use xbar::XbarError;
+
+/// Seed of every tile's defect map.
+const SEED: u64 = 1234;
+
+/// Wraps `inner` so each tile gets a lognormal spread of `sigma`, then
+/// stuck-at faults at a total rate of `stuck`.
+fn varied<E: CrossbarEngine>(inner: E, sigma: f64, stuck: f64) -> Result<ZooEngine<E>, XbarError> {
+    let stack = NonIdealityStack::new(SEED)
+        .with_model(Box::new(LognormalSpread { sigma }))?
+        .with_model(Box::new(StuckAtFaults {
+            stuck_off_rate: stuck / 2.0,
+            stuck_on_rate: stuck / 2.0,
+        }))?;
+    Ok(ZooEngine::new(inner, stack))
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = geniex_bench::manifest::start(
         "ablation_variations",
         &[
             ("size", telemetry::Json::from(DEFAULT_SIZE)),
-            ("seed", telemetry::Json::from(1234u64)),
+            ("seed", telemetry::Json::from(SEED)),
         ],
     );
     let workload = standard_workload(SynthSpec::SynthS);
@@ -43,23 +63,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (0.0, 0.05),
         (0.2, 0.01),
     ] {
-        let config = VariationConfig {
-            conductance_sigma: sigma,
-            stuck_off_rate: stuck / 2.0,
-            stuck_on_rate: stuck / 2.0,
-            seed: 1234,
-        };
         let ideal = evaluate_spec(
             spec.clone(),
             &arch,
-            &VariationEngine::new(IdealEngine, config)?,
+            &varied(IdealEngine, sigma, stuck)?,
             &workload.test,
             16,
         )?;
         let analytical = evaluate_spec(
             spec.clone(),
             &arch,
-            &VariationEngine::new(AnalyticalEngine, config)?,
+            &varied(AnalyticalEngine, sigma, stuck)?,
             &workload.test,
             16,
         )?;

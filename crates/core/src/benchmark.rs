@@ -2,13 +2,13 @@
 //! circuit ground truth on a held-out validation set.
 
 use crate::dataset::live_current_floor;
-use crate::models::{CrossbarModel, GeniexModel, LinearAnalyticalModel, TrueCircuitModel};
+use crate::fast::GeniexTile;
 use crate::surrogate::Geniex;
 use crate::GeniexError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xbar::nf::nf_rmse;
-use xbar::{ideal_mvm, ConductanceMatrix, CrossbarParams};
+use xbar::{ideal_mvm, AnalyticalModel, ConductanceMatrix, CrossbarCircuit, CrossbarParams};
 
 /// RMSE of model-predicted NF against the circuit reference, per model.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +62,8 @@ impl Default for BenchmarkConfig {
 ///
 /// # Errors
 ///
-/// * [`GeniexError::InvalidConfig`] if `stimuli == 0`.
+/// * [`GeniexError::InvalidConfig`] if `stimuli == 0` or
+///   `dac_levels == 0`.
 /// * [`GeniexError::NotTrained`] for untrained surrogates.
 /// * Propagates circuit and model failures.
 pub fn compare_models(
@@ -72,6 +73,9 @@ pub fn compare_models(
 ) -> Result<RmseComparison, GeniexError> {
     if config.stimuli == 0 {
         return Err(GeniexError::InvalidConfig("stimuli must be > 0".into()));
+    }
+    if config.dac_levels == 0 {
+        return Err(GeniexError::InvalidConfig("dac_levels must be > 0".into()));
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut nf_reference = Vec::new();
@@ -93,10 +97,22 @@ pub fn compare_models(
             .collect();
         let g = ConductanceMatrix::random_sparse(params, g_sparsity, &mut rng);
 
-        let reference = TrueCircuitModel::new(params, &g)?.currents(&v)?;
-        let analytical = LinearAnalyticalModel::new(params, &g)?.currents(&v)?;
-        let geniex = GeniexModel::new(surrogate, &g)?.currents(&v)?;
+        let reference = CrossbarCircuit::new(params, &g)?.solve(&v)?.currents;
+        let analytical = AnalyticalModel::new(params, &g)?.mvm(&v)?;
+        let g_levels: Vec<f32> = g
+            .to_levels(surrogate.params())
+            .into_iter()
+            .map(|x| x as f32)
+            .collect();
+        let f_r = GeniexTile::new(surrogate, &g_levels)?.f_r(&v)?;
         let ideal = ideal_mvm(&v, &g)?;
+        // The surrogate predicts f_R = I_ideal / I_non_ideal; dead
+        // columns stay at zero current.
+        let geniex: Vec<f64> = ideal
+            .iter()
+            .zip(&f_r)
+            .map(|(&id, &fr)| if id == 0.0 { 0.0 } else { id / fr as f64 })
+            .collect();
 
         // Keep the three NF vectors aligned: only columns carrying a
         // meaningful ideal current contribute (NF on near-dead columns
@@ -186,15 +202,21 @@ mod tests {
     fn config_validation() {
         let params = CrossbarParams::builder(4, 4).build().unwrap();
         let surrogate = Geniex::new(&params, 8, 0).unwrap();
-        assert!(compare_models(
-            &params,
-            &surrogate,
-            &BenchmarkConfig {
+        for config in [
+            BenchmarkConfig {
                 stimuli: 0,
                 ..BenchmarkConfig::default()
-            }
-        )
-        .is_err());
+            },
+            BenchmarkConfig {
+                dac_levels: 0,
+                ..BenchmarkConfig::default()
+            },
+        ] {
+            assert!(matches!(
+                compare_models(&params, &surrogate, &config),
+                Err(GeniexError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

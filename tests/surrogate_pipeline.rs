@@ -4,11 +4,11 @@
 
 use geniex::benchmark::{compare_models, BenchmarkConfig};
 use geniex::dataset::{generate, DatasetConfig};
-use geniex::{CrossbarModel, Geniex, GeniexModel, GeniexTile, TrainConfig, TrueCircuitModel};
+use geniex::{Geniex, GeniexTile, TrainConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Cursor;
-use xbar::{ConductanceMatrix, CrossbarParams};
+use xbar::{ideal_mvm, ConductanceMatrix, CrossbarCircuit, CrossbarParams};
 
 fn design_point() -> CrossbarParams {
     CrossbarParams::builder(5, 5).build().unwrap()
@@ -95,11 +95,19 @@ fn surrogate_tracks_circuit_currents_on_held_out_patterns() {
     let mut count = 0usize;
     for _ in 0..6 {
         let g = ConductanceMatrix::random_sparse(&params, 0.3, &mut rng);
-        let circuit = TrueCircuitModel::new(&params, &g).unwrap();
-        let model = GeniexModel::new(&surrogate, &g).unwrap();
+        let circuit = CrossbarCircuit::new(&params, &g).unwrap();
+        let g_levels: Vec<f32> = g.to_levels(&params).into_iter().map(|x| x as f32).collect();
+        let tile = GeniexTile::new(&surrogate, &g_levels).unwrap();
         let v = vec![params.v_supply; 5];
-        let truth = circuit.currents(&v).unwrap();
-        let predicted = model.currents(&v).unwrap();
+        let truth = circuit.solve(&v).unwrap().currents;
+        // I_non_ideal = I_ideal / f_R, with dead columns left at zero.
+        let f_r = tile.f_r(&v).unwrap();
+        let predicted: Vec<f64> = ideal_mvm(&v, &g)
+            .unwrap()
+            .iter()
+            .zip(&f_r)
+            .map(|(&id, &fr)| if id == 0.0 { 0.0 } else { id / fr as f64 })
+            .collect();
         for (p, t) in predicted.iter().zip(&truth) {
             if t.abs() > 1e-9 {
                 total_rel_err += ((p - t) / t).abs();
