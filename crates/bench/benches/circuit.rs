@@ -1,14 +1,12 @@
 //! Circuit-solver microbenchmarks: Newton + block-Gauss-Seidel solve
-//! cost versus crossbar size, the CG cross-validation path, the
-//! analytical model's effective-matrix extraction, and the ideal MVM.
+//! cost versus crossbar size, the analytical model's effective-matrix
+//! extraction, and the ideal MVM.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use xbar::{
-    ideal_mvm, AnalyticalModel, ConductanceMatrix, CrossbarCircuit, CrossbarParams, NewtonOptions,
-};
+use xbar::{ideal_mvm, AnalyticalModel, ConductanceMatrix, CrossbarCircuit, CrossbarParams};
 
 fn bench_nonlinear_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("circuit/nonlinear_solve");
@@ -22,35 +20,6 @@ fn bench_nonlinear_solve(c: &mut Criterion) {
             b.iter(|| circuit.solve(black_box(&v)).unwrap());
         });
     }
-    group.finish();
-}
-
-fn bench_linear_solvers(c: &mut Criterion) {
-    // Block Gauss-Seidel (default) vs conjugate gradient on the same
-    // 16x16 operating point.
-    let mut group = c.benchmark_group("circuit/linear_solver");
-    let params = CrossbarParams::builder(16, 16).build().unwrap();
-    let mut rng = StdRng::seed_from_u64(2);
-    let g = ConductanceMatrix::random_sparse(&params, 0.3, &mut rng);
-    let v = vec![params.v_supply; 16];
-
-    let bgs = CrossbarCircuit::new(&params, &g).unwrap();
-    group.bench_function("block_gauss_seidel", |b| {
-        b.iter(|| bgs.solve(black_box(&v)).unwrap())
-    });
-
-    let cg = CrossbarCircuit::with_options(
-        &params,
-        &g,
-        NewtonOptions {
-            linear_solver: xbar::LinearSolverKind::ConjugateGradient,
-            ..NewtonOptions::default()
-        },
-    )
-    .unwrap();
-    group.bench_function("conjugate_gradient", |b| {
-        b.iter(|| cg.solve(black_box(&v)).unwrap())
-    });
     group.finish();
 }
 
@@ -80,7 +49,6 @@ fn bench_ideal_mvm(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_nonlinear_solve, bench_linear_solvers,
-              bench_analytical_extraction, bench_ideal_mvm
+    targets = bench_nonlinear_solve, bench_analytical_extraction, bench_ideal_mvm
 }
 criterion_main!(benches);

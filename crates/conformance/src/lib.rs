@@ -9,9 +9,9 @@
 //!
 //! * **Differential oracles** — two independent implementations of the
 //!   same function must agree: naive vs lane-blocked kernels, one vs
-//!   eight worker threads, cold vs warm store artifacts, block
-//!   Gauss–Seidel vs conjugate-gradient Newton corrections, and the
-//!   full surrogate forward vs the tile-specialized fast path.
+//!   eight worker threads, cold vs warm store artifacts, the circuit
+//!   solver's block Gauss–Seidel Newton vs a dense-LU reference Newton,
+//!   and the full surrogate forward vs the tile-specialized fast path.
 //! * **Physics invariants** — properties the circuit ground truth must
 //!   satisfy regardless of implementation: per-node KCL below the
 //!   solver's own tolerance, passivity (non-negative dissipated

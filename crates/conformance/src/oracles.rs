@@ -6,12 +6,10 @@ use crate::gen;
 use crate::{Category, Law};
 use geniex::GeniexTile;
 use kernels::naive;
+use linalg::{LuDecomposition, Mat};
 use proptest::TestRng;
 use std::path::PathBuf;
-use xbar::{
-    ConductanceMatrix, CrossbarCircuit, CrossbarParams, LinearSolverKind, NewtonOptions,
-    SolverCache,
-};
+use xbar::{ConductanceMatrix, CrossbarCircuit, CrossbarParams, SolverCache};
 
 pub(crate) fn laws() -> Vec<Box<dyn Law>> {
     vec![
@@ -22,7 +20,7 @@ pub(crate) fn laws() -> Vec<Box<dyn Law>> {
         Box::new(SpmvPlanVsNaive),
         Box::new(ParallelVsSerial),
         Box::new(StoreWarmVsCold),
-        Box::new(SolverBgsVsCg),
+        Box::new(SolverBgsVsDenseLu),
         Box::new(AmortizedVsColdSolve),
         Box::new(WarmStartFixedPoint),
         Box::new(FastTileVsFullSurrogate),
@@ -167,7 +165,7 @@ impl Law for GemvVsNaive {
     }
 }
 
-/// CSR sparse MVM (the CG solver's Jacobian product) vs naive. Rows
+/// CSR sparse MVM (`kernels::spmv_csr`) vs naive. Rows
 /// with at most [`kernels::LANES`] entries keep the sequential order
 /// and must match bit-for-bit.
 struct SpmvVsNaive;
@@ -446,20 +444,20 @@ impl StoreWarmVsCold {
     }
 }
 
-/// The f64 reference solver cross-checked against itself: block
-/// Gauss–Seidel and Jacobi-preconditioned CG must find the same
-/// operating point.
-struct SolverBgsVsCg;
+/// The circuit solver's Newton (block Gauss–Seidel over prefactored
+/// line solves) vs an independent reference Newton whose corrections
+/// are dense LU solves: both must find the same operating point.
+struct SolverBgsVsDenseLu;
 
-impl Law for SolverBgsVsCg {
+impl Law for SolverBgsVsDenseLu {
     fn name(&self) -> &'static str {
-        "oracle/solver_bgs_vs_cg"
+        "oracle/solver_bgs_vs_dense_lu"
     }
     fn category(&self) -> Category {
         Category::Oracle
     }
     fn tolerance(&self) -> &'static str {
-        "per column |I_bgs - I_cg| <= 1e-9 * |I| (floor 1e-13 A)"
+        "per column |I_bgs - I_lu| <= 1e-9 * |I| (floor 1e-13 A)"
     }
     fn cases(&self) -> u64 {
         6
@@ -475,30 +473,110 @@ impl Law for SolverBgsVsCg {
         let g = ConductanceMatrix::from_levels(&params, &levels).map_err(|e| e.to_string())?;
         let v = gen::vec_f64(rng, rows, 0.0, params.v_supply);
 
-        let bgs = CrossbarCircuit::new(&params, &g)
-            .and_then(|c| c.solve(&v))
-            .map_err(|e| e.to_string())?;
-        let cg = CrossbarCircuit::with_options(
-            &params,
-            &g,
-            NewtonOptions {
-                linear_solver: LinearSolverKind::ConjugateGradient,
-                ..NewtonOptions::default()
-            },
-        )
-        .and_then(|c| c.solve(&v))
-        .map_err(|e| e.to_string())?;
+        let circuit = CrossbarCircuit::new(&params, &g).map_err(|e| e.to_string())?;
+        let bgs = circuit.solve(&v).map_err(|e| e.to_string())?;
+        let lu = dense_lu_newton(&circuit, &v)?;
 
-        for (j, (a, b)) in bgs.currents.iter().zip(&cg.currents).enumerate() {
+        for (j, (a, b)) in bgs.currents.iter().zip(&lu).enumerate() {
             let bound = (1e-9 * a.abs()).max(1e-13);
             if (a - b).abs() > bound {
                 return Err(format!(
-                    "column {j}: BGS {a} vs CG {b} (bound {bound}, {rows}x{cols})"
+                    "column {j}: BGS {a} vs dense LU {b} (bound {bound}, {rows}x{cols})"
                 ));
             }
         }
         Ok(())
     }
+}
+
+/// Reference damped Newton on the crossbar's KCL system, returning the
+/// sensed bit-line currents. Only the physics comes from the circuit
+/// ([`CrossbarCircuit::kcl_linearization`] and the line resistances);
+/// the Jacobian is assembled densely here and every correction is a
+/// direct [`LuDecomposition`] solve. Convergence is held to the
+/// solver's own [`CrossbarCircuit::effective_tolerance`].
+fn dense_lu_newton(circuit: &CrossbarCircuit, v: &[f64]) -> Result<Vec<f64>, String> {
+    let p = circuit.params();
+    let (rows, cols) = (p.rows, p.cols);
+    let half = rows * cols;
+    // Node layout of `SolveReport::node_voltages`: word lines, then bit lines.
+    let w = |i: usize, j: usize| i * cols + j;
+    let b = |i: usize, j: usize| half + w(i, j);
+    let (g_src, g_snk, g_w) = (1.0 / p.r_source, 1.0 / p.r_sink, 1.0 / p.r_wire);
+    let norm = |f: &[f64]| f.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    let tolerance = circuit.effective_tolerance(v);
+
+    // Word lines at their drive, bit lines at virtual ground.
+    let mut x = vec![0.0; 2 * half];
+    for i in 0..rows {
+        for j in 0..cols {
+            x[w(i, j)] = v[i];
+        }
+    }
+    let (mut f, mut gd) = circuit
+        .kcl_linearization(v, &x)
+        .map_err(|e| e.to_string())?;
+    let mut res = norm(&f);
+    for _ in 0..60 {
+        if res <= tolerance {
+            break;
+        }
+        // J = dF/dx: a conductance Laplacian, grounded through the
+        // source and sink resistors.
+        let mut jac = Mat::zeros(2 * half, 2 * half);
+        let mut branch = |a: usize, c: usize, g: f64| {
+            jac[(a, a)] += g;
+            jac[(c, c)] += g;
+            jac[(a, c)] -= g;
+            jac[(c, a)] -= g;
+        };
+        for i in 0..rows {
+            for j in 0..cols {
+                branch(w(i, j), b(i, j), gd[i * cols + j]);
+                if j + 1 < cols {
+                    branch(w(i, j), w(i, j + 1), g_w);
+                }
+                if i + 1 < rows {
+                    branch(b(i, j), b(i + 1, j), g_w);
+                }
+            }
+        }
+        for i in 0..rows {
+            jac[(w(i, 0), w(i, 0))] += g_src;
+        }
+        for j in 0..cols {
+            jac[(b(rows - 1, j), b(rows - 1, j))] += g_snk;
+        }
+        let dx = LuDecomposition::new(&jac)
+            .and_then(|lu| lu.solve(&f))
+            .map_err(|e| e.to_string())?;
+
+        // Halve the step until the true residual shrinks.
+        let mut scale = 1.0;
+        let mut accepted = false;
+        for _ in 0..=30 {
+            let trial: Vec<f64> = x.iter().zip(&dx).map(|(xk, dk)| xk - scale * dk).collect();
+            let (tf, tgd) = circuit
+                .kcl_linearization(v, &trial)
+                .map_err(|e| e.to_string())?;
+            let trial_res = norm(&tf);
+            if trial_res < res || trial_res <= tolerance {
+                (x, f, gd, res) = (trial, tf, tgd, trial_res);
+                accepted = true;
+                break;
+            }
+            scale *= 0.5;
+        }
+        if !accepted {
+            return Err(format!("reference Newton stalled at residual {res:e}"));
+        }
+    }
+    if res > tolerance {
+        return Err(format!(
+            "reference Newton did not converge: residual {res:e} > {tolerance:e}"
+        ));
+    }
+    Ok((0..cols).map(|j| g_snk * x[b(rows - 1, j)]).collect())
 }
 
 /// The amortized batch path (cached factorization + warm-started
@@ -658,5 +736,29 @@ impl Law for FastTileVsFullSurrogate {
             return Err("f_r_batch(1) diverged from f_r_from_levels".into());
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xbar::NonIdealityConfig;
+
+    #[test]
+    fn dense_lu_newton_matches_closed_form_single_cell() {
+        // One linear cell between a source and a sink resistor: the
+        // whole crossbar is three resistors in series.
+        let mut params = CrossbarParams::builder(1, 1).build().unwrap();
+        params.nonideality = NonIdealityConfig::linear_only();
+        let g_cell = params.g_on();
+        let g = ConductanceMatrix::uniform(1, 1, g_cell);
+        let circuit = CrossbarCircuit::new(&params, &g).unwrap();
+        let v = params.v_supply;
+        let expected = v / (params.r_source + 1.0 / g_cell + params.r_sink);
+        let current = dense_lu_newton(&circuit, &[v]).unwrap()[0];
+        assert!(
+            (current - expected).abs() <= 1e-12 * expected,
+            "{current} vs closed form {expected}"
+        );
     }
 }

@@ -96,7 +96,7 @@ pub fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `y = x + beta * y`, element-wise (the CG direction update).
+/// `y = x + beta * y`, element-wise (a Krylov direction update).
 ///
 /// # Panics
 ///

@@ -2,9 +2,10 @@
 //!
 //! Every inner loop in this workspace that matters for throughput — the
 //! surrogate's two GEMVs per MVM, the functional simulator's batched
-//! level-to-current GEMVs, the training GEMMs behind `nn::Tensor`, and
-//! the CSR spmv + dot products inside the conjugate-gradient solver —
-//! funnels through this crate. The kernels are built around one idea:
+//! level-to-current GEMVs, and the training GEMMs behind `nn::Tensor` —
+//! funnels through this crate. The sparse and element-wise kernels below
+//! have no production caller; they stay benchmarked and law-checked for
+//! the next iterative solver that needs them. The kernels are built around one idea:
 //!
 //! **Fix the floating-point accumulation order in the kernel spec, and
 //! pick an order the compiler can vectorize.**
@@ -47,8 +48,8 @@
 //!   plan once per pattern and amortize it across every product.
 //!
 //! Element-wise kernels ([`axpy_f64`], [`xpby_f64`]) have no reduction
-//! and therefore no ordering freedom; they are provided so solvers have
-//! a single home for their vector ops.
+//! and therefore no ordering freedom; they give iterative solvers a
+//! single home for their vector ops.
 //!
 //! The [`naive`] module keeps straight-line reference implementations
 //! of the *old* sequential order for ulp-bounded regression tests and

@@ -117,7 +117,7 @@ pub fn gemv_levels_scaled(mat: &[f64], x: &[f32], scale: f64, out: &mut [f64]) {
     }
 }
 
-/// Sequential CSR matvec (the old `CsrMatrix::matvec_into` loop).
+/// Sequential CSR matvec: the reference order `kernels::spmv` is checked against.
 ///
 /// # Panics
 ///

@@ -104,8 +104,8 @@ pub enum SpmvStrategy {
 /// dense kernels — with no per-row branching.
 ///
 /// Build the plan once per sparsity pattern and amortize it across the
-/// many products an iterative solver performs (every CG iteration,
-/// every Newton sweep): that is where the win lives, and why the
+/// many products an iterative solver performs (one or more per
+/// iteration): that is where the win lives, and why the
 /// benchmarks time `apply` with the plan built outside the loop.
 ///
 /// # Determinism

@@ -13,19 +13,6 @@ pub enum LinalgError {
     NotSquare { rows: usize, cols: usize },
     /// A direct solve hit a (numerically) singular pivot.
     Singular { pivot_index: usize },
-    /// An iterative solver failed to reach the requested tolerance.
-    NoConvergence {
-        iterations: usize,
-        residual: f64,
-        tolerance: f64,
-    },
-    /// A triplet referenced a row/column outside the declared dimensions.
-    IndexOutOfBounds {
-        row: usize,
-        col: usize,
-        rows: usize,
-        cols: usize,
-    },
     /// An input contained a NaN or infinity where a finite value is required.
     NonFinite(String),
 }
@@ -40,24 +27,6 @@ impl fmt::Display for LinalgError {
             LinalgError::Singular { pivot_index } => {
                 write!(f, "matrix is singular at pivot {pivot_index}")
             }
-            LinalgError::NoConvergence {
-                iterations,
-                residual,
-                tolerance,
-            } => write!(
-                f,
-                "iterative solver did not converge after {iterations} iterations \
-                 (residual {residual:.3e}, tolerance {tolerance:.3e})"
-            ),
-            LinalgError::IndexOutOfBounds {
-                row,
-                col,
-                rows,
-                cols,
-            } => write!(
-                f,
-                "entry ({row}, {col}) is outside the {rows}x{cols} matrix"
-            ),
             LinalgError::NonFinite(msg) => write!(f, "non-finite value: {msg}"),
         }
     }
@@ -75,17 +44,6 @@ mod tests {
             LinalgError::ShapeMismatch("a vs b".into()),
             LinalgError::NotSquare { rows: 2, cols: 3 },
             LinalgError::Singular { pivot_index: 1 },
-            LinalgError::NoConvergence {
-                iterations: 10,
-                residual: 1.0,
-                tolerance: 0.1,
-            },
-            LinalgError::IndexOutOfBounds {
-                row: 5,
-                col: 5,
-                rows: 2,
-                cols: 2,
-            },
             LinalgError::NonFinite("rhs".into()),
         ];
         for err in errors {

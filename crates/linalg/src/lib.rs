@@ -1,46 +1,37 @@
-//! Dense and sparse linear-algebra substrate for the GENIEx reproduction.
+//! Dense linear-algebra substrate for the GENIEx reproduction.
 //!
 //! This crate provides exactly the numerical kernels the rest of the
 //! workspace needs, implemented from scratch:
 //!
 //! * [`Mat`] — a dense, row-major `f64` matrix with the usual products,
-//!   used by the analytical crossbar model and small dense solves.
-//! * [`CsrMatrix`] — a compressed-sparse-row matrix assembled from
-//!   triplets, used for the circuit solver's Jacobian.
-//! * [`conjugate_gradient`] — Jacobi-preconditioned CG for symmetric
-//!   positive-definite systems (the linearized crossbar Laplacian).
-//! * [`LuDecomposition`] — dense LU with partial pivoting for the
-//!   analytical model's effective-matrix extraction.
+//!   holding the analytical crossbar model's effective matrix.
+//! * [`LuDecomposition`] — dense LU with partial pivoting. The
+//!   conformance suite's reference Newton solves every crossbar
+//!   correction with it, as an independent check on the circuit
+//!   solver's block Gauss–Seidel.
+//! * [`vec_ops`] — the slice helpers the above and the circuit solver
+//!   share.
 //!
 //! # Example
 //!
 //! ```
 //! # fn main() -> Result<(), linalg::LinalgError> {
-//! use linalg::{CsrMatrix, conjugate_gradient, CgOptions};
+//! use linalg::{LuDecomposition, Mat};
 //!
-//! // 2x2 SPD system: [[4, 1], [1, 3]] x = [1, 2]
-//! let mut triplets = linalg::TripletMatrix::new(2, 2);
-//! triplets.add(0, 0, 4.0);
-//! triplets.add(0, 1, 1.0);
-//! triplets.add(1, 0, 1.0);
-//! triplets.add(1, 1, 3.0);
-//! let a = CsrMatrix::from_triplets(&triplets)?;
-//! let sol = conjugate_gradient(&a, &[1.0, 2.0], &CgOptions::default())?;
-//! assert!((sol.x[0] - 1.0 / 11.0).abs() < 1e-9);
-//! assert!((sol.x[1] - 7.0 / 11.0).abs() < 1e-9);
+//! // 2x2 system: [[4, 1], [1, 3]] x = [1, 2]
+//! let a = Mat::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
+//! let x = LuDecomposition::new(&a)?.solve(&[1.0, 2.0])?;
+//! assert!((x[0] - 1.0 / 11.0).abs() < 1e-12);
+//! assert!((x[1] - 7.0 / 11.0).abs() < 1e-12);
 //! # Ok(())
 //! # }
 //! ```
 
-mod cg;
 mod error;
 mod lu;
 mod mat;
-mod sparse;
 pub mod vec_ops;
 
-pub use cg::{conjugate_gradient, CgOptions, CgSolution};
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use mat::Mat;
-pub use sparse::{CsrMatrix, TripletMatrix};

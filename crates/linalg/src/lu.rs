@@ -2,10 +2,11 @@ use crate::{LinalgError, Mat};
 
 /// Dense LU decomposition with partial pivoting.
 ///
-/// The analytical crossbar model extracts an effective matrix `M(G)` by
-/// solving the *same* linear circuit against many right-hand sides (one
-/// unit vector per input row). Factoring once and back-substituting per
-/// RHS makes that extraction `O(n^3 + k n^2)` instead of `O(k n^3)`.
+/// A direct solver that shares no code with the circuit solver's
+/// iterative block Gauss–Seidel: the conformance suite's reference
+/// Newton solves each crossbar correction system with it. Factoring
+/// once and back-substituting per right-hand side costs
+/// `O(n^3 + k n^2)` for `k` of them.
 ///
 /// # Example
 ///

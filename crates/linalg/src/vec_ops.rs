@@ -16,65 +16,10 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     kernels::dot_f64(a, b)
 }
 
-/// Euclidean norm `||a||_2`.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 /// Infinity norm `max_i |a_i|` (0 for an empty slice).
 #[inline]
 pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0, |acc, &x| acc.max(x.abs()))
-}
-
-/// `y += alpha * x` in place.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    kernels::axpy_f64(alpha, x, y);
-}
-
-/// `y = x + beta * y` in place (used by CG direction updates).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "xpby: length mismatch");
-    kernels::xpby_f64(x, beta, y);
-}
-
-/// Element-wise `a - b` into a new vector.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "sub: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
-}
-
-/// Root-mean-square error between two equal-length slices.
-///
-/// Returns 0 for empty slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "rmse: length mismatch");
-    if a.is_empty() {
-        return 0.0;
-    }
-    let sum_sq: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-    (sum_sq / a.len() as f64).sqrt()
 }
 
 /// True if every element is finite.
@@ -96,35 +41,8 @@ mod tests {
 
     #[test]
     fn norms() {
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
         assert_eq!(norm_inf(&[]), 0.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[3.0, -1.0], &mut y);
-        assert_eq!(y, vec![7.0, -1.0]);
-    }
-
-    #[test]
-    fn xpby_updates_direction() {
-        let mut y = vec![1.0, 2.0];
-        xpby(&[10.0, 10.0], 0.5, &mut y);
-        assert_eq!(y, vec![10.5, 11.0]);
-    }
-
-    #[test]
-    fn rmse_zero_for_equal() {
-        assert_eq!(rmse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        assert_eq!(rmse(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn rmse_known_value() {
-        // errors are [3, 4] -> mean square 12.5 -> rmse sqrt(12.5)
-        assert!((rmse(&[3.0, 0.0], &[0.0, 4.0]) - 12.5f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -145,26 +63,6 @@ mod tests {
         fn dot_commutative(a in proptest::collection::vec(-1e3f64..1e3, 0..32)) {
             let b: Vec<f64> = a.iter().rev().copied().collect();
             prop_assert!((dot(&a, &b) - dot(&b, &a)).abs() < 1e-6);
-        }
-
-        #[test]
-        fn norm2_nonnegative_and_scales(
-            a in proptest::collection::vec(-1e3f64..1e3, 1..32),
-            k in -10.0f64..10.0,
-        ) {
-            let scaled: Vec<f64> = a.iter().map(|x| k * x).collect();
-            prop_assert!(norm2(&a) >= 0.0);
-            prop_assert!((norm2(&scaled) - k.abs() * norm2(&a)).abs() < 1e-6 * (1.0 + norm2(&a)));
-        }
-
-        #[test]
-        fn rmse_symmetric(
-            a in proptest::collection::vec(-1e3f64..1e3, 1..32),
-        ) {
-            let b: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
-            prop_assert!((rmse(&a, &b) - rmse(&b, &a)).abs() < 1e-9);
-            // uniform shift of 1 -> rmse exactly 1
-            prop_assert!((rmse(&a, &b) - 1.0).abs() < 1e-9);
         }
     }
 }

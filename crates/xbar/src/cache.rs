@@ -5,18 +5,18 @@
 //! programmed conductance matrix, yet a plain [`CrossbarCircuit::solve`]
 //! re-derives everything per call: the cell linearization (one
 //! transcendental `dI/dV` per cross-point per Newton iteration) and the
-//! Thomas factorization of every tridiagonal chain (one division per
-//! node per Gauss–Seidel sweep). This module factors that shared work
-//! out:
+//! Thomas factorization of every tridiagonal chain (one per Newton
+//! iteration). This module factors that shared work out:
 //!
-//! * [`JacobianFactorization`] — the Block-Gauss–Seidel operator frozen
-//!   at the zero-bias linearization point: per-cell differential
+//! * [`JacobianFactorization`] — the Block-Gauss–Seidel correction
+//!   operator every Newton step sweeps against: per-cell differential
 //!   conductances plus the forward-eliminated Thomas factors
 //!   (`1/denom`, `c'`) of every word-line and bit-line chain. Building
 //!   it costs one exact factorization; applying it is multiply-only.
-//!   Zero bias makes the factorization *input-independent*, so it is
-//!   keyed purely by circuit content and safely shared between tiles
-//!   programmed with the same matrix.
+//!   The cached one is frozen at the zero-bias linearization point,
+//!   which makes it *input-independent*, so it is keyed purely by
+//!   circuit content and safely shared between tiles programmed with
+//!   the same matrix.
 //! * [`SolverCache`] — the per-tile handle
 //!   [`CrossbarCircuit::solve_amortized`] and
 //!   [`CrossbarCircuit::solve_batch`] consume: the factorization plus
@@ -26,9 +26,7 @@
 //!   the programmed conductances, and the Newton options) to shared
 //!   factorizations, so rebuilding a tile for the same programmed
 //!   matrix — a clone, a re-tiled layer, a serve worker — reuses the
-//!   factorization instead of recomputing it. Disable with
-//!   `GENIEX_SOLVER_CACHE=off` (each cache then factorizes privately;
-//!   warm starts are unaffected).
+//!   factorization instead of recomputing it.
 //!
 //! # Invalidation
 //!
@@ -50,18 +48,20 @@ use crate::circuit::{metrics, CrossbarCircuit};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The Block-Gauss–Seidel correction operator of a programmed crossbar,
-/// frozen at the zero-bias linearization point and fully factorized.
+/// The Block-Gauss–Seidel correction operator of a programmed crossbar
+/// at one linearization point, fully factorized.
 ///
 /// Holds, for every word-line and bit-line tridiagonal chain, the
 /// forward-eliminated Thomas factors: the reciprocal pivots `1/denom_k`
 /// and the eliminated super-diagonal `c'_k`. Applying the operator is
 /// then two multiply-only sweeps per chain — no divisions, no
-/// device-model evaluations.
+/// device-model evaluations. Every Newton correction, cold or
+/// amortized, sweeps against one of these.
 ///
-/// Zero bias is the one linearization point that depends only on the
-/// programmed state: `dI/dV(0)` of every calibrated cell equals its
-/// programmed small-signal conductance. For linear devices the frozen
+/// The instance a [`SolverCache`] holds is frozen at zero bias, the one
+/// linearization point that depends only on the programmed state:
+/// `dI/dV(0)` of every calibrated cell equals its programmed
+/// small-signal conductance. For linear devices the frozen
 /// operator *is* the exact Jacobian; for `sinh`-family devices it is a
 /// chord — the outer loop still damps and verifies the true KCL
 /// residual, so convergence (not just the iterate) is exact either way
@@ -72,7 +72,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct JacobianFactorization {
     pub(crate) rows: usize,
     pub(crate) cols: usize,
-    /// Per-cell differential conductance at zero bias, row-major.
+    /// Per-cell differential conductance at the linearization point,
+    /// row-major.
     pub(crate) gd: Vec<f64>,
     /// Word-line chains (one per row, `cols` long), row-major: `1/denom`.
     pub(crate) w_inv_denom: Vec<f64>,
@@ -94,6 +95,21 @@ impl JacobianFactorization {
     /// Crossbar columns the factorization was built for.
     pub fn cols(&self) -> usize {
         self.cols
+    }
+}
+
+/// Forward-eliminates the symmetric tridiagonal system with diagonal
+/// `diag` and constant off-diagonal `off` (Thomas algorithm), storing
+/// the reciprocal pivots `1/denom_k` and the eliminated super-diagonal
+/// `c'_k` for [`thomas_apply`]. All slices have the chain's length.
+pub(crate) fn thomas_factor(diag: &[f64], off: f64, inv_denom: &mut [f64], c_prime: &mut [f64]) {
+    let mut denom = diag[0];
+    inv_denom[0] = 1.0 / denom;
+    c_prime[0] = off / denom;
+    for k in 1..diag.len() {
+        denom = diag[k] - off * c_prime[k - 1];
+        inv_denom[k] = 1.0 / denom;
+        c_prime[k] = off / denom;
     }
 }
 
@@ -131,23 +147,9 @@ fn registry() -> &'static Mutex<HashMap<store::Key, Arc<JacobianFactorization>>>
     REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// `GENIEX_SOLVER_CACHE=off` disables the cross-tile registry (each
-/// [`SolverCache`] then factorizes privately). Read once per process.
-fn registry_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        std::env::var("GENIEX_SOLVER_CACHE")
-            .map(|v| v != "off")
-            .unwrap_or(true)
-    })
-}
-
 /// Fetches the factorization for `key` from the registry, building it
 /// from `circuit` on a miss.
 fn fetch_or_build(key: store::Key, circuit: &CrossbarCircuit) -> Arc<JacobianFactorization> {
-    if !registry_enabled() {
-        return Arc::new(circuit.factorize());
-    }
     let m = metrics();
     if let Some(hit) = registry()
         .lock()
@@ -341,7 +343,7 @@ impl SolverCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConductanceMatrix, CrossbarParams, LinearSolverKind, NewtonOptions};
+    use crate::{ConductanceMatrix, CrossbarParams, NewtonOptions};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -365,16 +367,16 @@ mod tests {
         let p = CrossbarParams::builder(5, 4).build().unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let g = ConductanceMatrix::random_sparse(&p, 0.5, &mut rng);
-        let cg = CrossbarCircuit::with_options(
+        let capped = CrossbarCircuit::with_options(
             &p,
             &g,
             NewtonOptions {
-                linear_solver: LinearSolverKind::ConjugateGradient,
+                max_iterations: 7,
                 ..NewtonOptions::default()
             },
         )
         .unwrap();
-        assert_ne!(a.solver_key(), cg.solver_key());
+        assert_ne!(a.solver_key(), capped.solver_key());
     }
 
     #[test]

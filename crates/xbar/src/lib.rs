@@ -21,7 +21,8 @@
 //! * [`CrossbarParams`] / [`NonIdealityConfig`] — design parameters
 //!   (size, Ron, ON/OFF ratio, parasitic resistances, supply voltage).
 //! * [`CrossbarCircuit`] — the nonlinear DC solver (modified nodal
-//!   analysis, damped Newton–Raphson, Jacobi-preconditioned CG).
+//!   analysis, damped Newton–Raphson, each correction solved by block
+//!   Gauss–Seidel over prefactored tridiagonal line solves).
 //! * [`SolverCache`] / [`JacobianFactorization`] — amortized solving:
 //!   content-keyed frozen-Jacobian factorizations and warm-started
 //!   Newton for batches of inputs against one programmed tile
@@ -73,7 +74,7 @@ pub mod zoo;
 
 pub use analytical::AnalyticalModel;
 pub use cache::{JacobianFactorization, SolverCache};
-pub use circuit::{CgStats, CrossbarCircuit, LinearSolverKind, NewtonOptions, SolveReport};
+pub use circuit::{CrossbarCircuit, NewtonOptions, SolveReport};
 pub use conductance::ConductanceMatrix;
 pub use error::XbarError;
 pub use params::{CrossbarParams, CrossbarParamsBuilder, DeviceParams, NonIdealityConfig};
