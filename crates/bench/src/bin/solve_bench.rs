@@ -5,9 +5,9 @@
 //! Both paths solve the same panel of random stimuli against the same
 //! programmed tile:
 //!
-//! * **cold** — one `CrossbarCircuit::solve` per sample: every solve
-//!   re-runs exact damped Newton from the zero guess, re-eliminating
-//!   the Jacobian blocks inside every inner sweep.
+//! * **cold** — one `CrossbarCircuit::solve` per sample: the shared
+//!   Newton loop from the driven guess, factoring the exact Jacobian
+//!   at every iteration and re-solving every cell's internal node.
 //! * **amortized** — `SolverCache::for_circuit` once, then one
 //!   `solve_batch` over the whole panel: the frozen-Jacobian
 //!   factorization is built (or fetched from the process-wide

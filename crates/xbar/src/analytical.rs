@@ -14,7 +14,7 @@
 //! accuracy degradation, because the device non-linearity it ignores
 //! partially re-idealizes the crossbar at high voltage.
 
-use crate::circuit::{CrossbarCircuit, NewtonOptions};
+use crate::circuit::CrossbarCircuit;
 use crate::conductance::ConductanceMatrix;
 use crate::params::{CrossbarParams, NonIdealityConfig};
 use crate::XbarError;
@@ -72,7 +72,7 @@ impl AnalyticalModel {
             device_nonlinearity: false,
             access_device: false,
         };
-        let circuit = CrossbarCircuit::with_options(&linear_params, g, NewtonOptions::default())?;
+        let circuit = CrossbarCircuit::new(&linear_params, g)?;
 
         let (rows, cols) = (params.rows, params.cols);
         // Column k of M is the response to the unit vector e_k. Unit

@@ -3,10 +3,12 @@
 //!
 //! The functional simulator evaluates many MVMs against the *same*
 //! programmed conductance matrix, yet a plain [`CrossbarCircuit::solve`]
-//! re-derives everything per call: the cell linearization (one
-//! transcendental `dI/dV` per cross-point per Newton iteration) and the
-//! Thomas factorization of every tridiagonal chain (one per Newton
-//! iteration). This module factors that shared work out:
+//! starts every call from scratch: it runs the one Newton loop from the
+//! driven guess, evaluating every cell's current and `dI/dV` (one
+//! device evaluation per cross-point per residual) and re-factoring
+//! the Thomas chains of the exact Jacobian at every iteration. An
+//! amortized solve runs the same loop from state carried across calls,
+//! which this module holds:
 //!
 //! * [`JacobianFactorization`] — the Block-Gauss–Seidel correction
 //!   operator every Newton step sweeps against: per-cell differential
@@ -20,10 +22,12 @@
 //! * [`SolverCache`] — the per-tile handle
 //!   [`CrossbarCircuit::solve_amortized`] and
 //!   [`CrossbarCircuit::solve_batch`] consume: the factorization plus
-//!   the previous sample's node voltages for warm-starting Newton.
+//!   the previous sample's node voltages, residual and per-cell
+//!   `dI/dV` for warm-starting Newton, plus the series cells'
+//!   internal-node voltages.
 //! * A process-wide registry mapping [`CrossbarCircuit::solver_key`]
-//!   (a [`store::Canonical`] content key over the design parameters,
-//!   the programmed conductances, and the Newton options) to shared
+//!   (a [`store::Canonical`] content key over the design parameters
+//!   and the programmed conductances) to shared
 //!   factorizations, so rebuilding a tile for the same programmed
 //!   matrix — a clone, a re-tiled layer, a serve worker — reuses the
 //!   factorization instead of recomputing it.
@@ -227,26 +231,16 @@ pub struct SolverCache {
     internal: Vec<f64>,
 }
 
-/// The previous converged operating point, carried between amortized
-/// solves by [`SolverCache`].
+/// The previous converged operating point and its linearization,
+/// carried between amortized solves by [`SolverCache`]: everything
+/// needed to restart Newton at `x` under *new* inputs without
+/// re-evaluating a single device model. The inputs enter the KCL system
+/// only through the driver source terms, so the stored residual is
+/// updated to the new inputs in O(rows).
 #[derive(Debug, Clone)]
 pub(crate) struct WarmState {
     /// Converged node voltages — the next solve's Newton seed.
     pub(crate) x: Vec<f64>,
-    /// The solve's full context, present only when the previous solve
-    /// completed on the amortized path itself (the exact-Newton
-    /// fallback reports only voltages). With it, the next warm solve
-    /// skips its initial residual evaluation entirely: the inputs enter
-    /// the KCL system only through the driver source terms, so the
-    /// stored residual is updated to the new inputs in O(rows).
-    pub(crate) context: Option<WarmContext>,
-}
-
-/// Residual context of a completed amortized solve: everything needed
-/// to restart Newton at the stored `x` under *new* inputs without
-/// re-evaluating a single device model.
-#[derive(Debug, Clone)]
-pub(crate) struct WarmContext {
     /// The inputs the residual was evaluated under.
     pub(crate) v: Vec<f64>,
     /// KCL residual `F(x; v)` at the converged point.
@@ -294,12 +288,6 @@ impl SolverCache {
         self.warm.as_ref().map(|w| w.x.as_slice())
     }
 
-    /// Drops the warm-start voltages (the factorization is kept — it
-    /// does not depend on the operating point).
-    pub fn clear_warm_start(&mut self) {
-        self.warm = None;
-    }
-
     /// Re-keys the cache if `circuit`'s content no longer matches,
     /// dropping the warm start in that case (it described a different
     /// circuit's operating point).
@@ -343,7 +331,7 @@ impl SolverCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ConductanceMatrix, CrossbarParams, NewtonOptions};
+    use crate::{ConductanceMatrix, CrossbarParams};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -357,26 +345,12 @@ mod tests {
     #[test]
     fn solver_key_is_content_derived() {
         // Same content, different instances: same key. Different
-        // conductances or options: different keys.
+        // conductances: different keys.
         let a = circuit(1);
         let b = circuit(1);
         let c = circuit(2);
         assert_eq!(a.solver_key(), b.solver_key());
         assert_ne!(a.solver_key(), c.solver_key());
-
-        let p = CrossbarParams::builder(5, 4).build().unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let g = ConductanceMatrix::random_sparse(&p, 0.5, &mut rng);
-        let capped = CrossbarCircuit::with_options(
-            &p,
-            &g,
-            NewtonOptions {
-                max_iterations: 7,
-                ..NewtonOptions::default()
-            },
-        )
-        .unwrap();
-        assert_ne!(a.solver_key(), capped.solver_key());
     }
 
     #[test]

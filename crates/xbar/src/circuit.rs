@@ -18,17 +18,18 @@
 //!
 //! # Numerics
 //!
-//! Damped Newton–Raphson on the KCL residual. Every Newton correction
-//! `J·dx = F` is solved by one routine: block Gauss–Seidel over a
+//! Damped Newton–Raphson on the KCL residual, run by one driver for
+//! cold and amortized solves alike. One residual routine evaluates each
+//! cell's current and `dI/dV` together, so every accepted iterate comes
+//! with its exact Jacobian. Every Newton correction `J·dx = F` is
+//! solved by one routine: block Gauss–Seidel over a
 //! [`JacobianFactorization`]. Word lines only couple horizontally and
 //! bit lines only vertically, so each half-system is a set of
 //! independent tridiagonal chains; the factorization holds their Thomas
 //! factors with reciprocal pivots, built once per linearization point,
 //! and every sweep is multiply-only.
 
-use crate::cache::{
-    thomas_apply, thomas_factor, JacobianFactorization, SolverCache, WarmContext, WarmState,
-};
+use crate::cache::{thomas_apply, thomas_factor, JacobianFactorization, SolverCache, WarmState};
 use crate::conductance::ConductanceMatrix;
 use crate::device::{
     AccessDevice, DeviceModel, FilamentaryRram, LinearMemristor, SeriesCell, SeriesLinearCell,
@@ -88,41 +89,15 @@ pub(crate) fn metrics() -> &'static CircuitMetrics {
     })
 }
 
-/// Options controlling the Newton solve.
-///
-/// These are part of a circuit's *content* for amortization purposes:
-/// [`CrossbarCircuit::solver_key`] folds them in, so circuits that
-/// differ only in options never share cached solver state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NewtonOptions {
-    /// Absolute KCL residual tolerance in amperes (infinity norm).
-    /// The enforced tolerance is this value floored by the f64
-    /// cancellation noise of the circuit at hand — see
-    /// [`CrossbarCircuit::effective_tolerance`].
-    pub abs_tolerance: f64,
-    /// Maximum Newton iterations.
-    pub max_iterations: usize,
-    /// Maximum step-halving attempts per iteration.
-    pub max_dampings: usize,
-}
-
-impl Default for NewtonOptions {
-    fn default() -> Self {
-        NewtonOptions {
-            abs_tolerance: 1e-13,
-            max_iterations: 60,
-            max_dampings: 30,
-        }
-    }
-}
-
-impl store::Canonical for NewtonOptions {
-    fn canonicalize(&self, key: &mut store::KeyBuilder) {
-        key.f64("abs_tolerance", self.abs_tolerance)
-            .usize("max_iterations", self.max_iterations)
-            .usize("max_dampings", self.max_dampings);
-    }
-}
+/// Absolute KCL residual tolerance in amperes (infinity norm). The
+/// enforced tolerance is this value floored by the f64 cancellation
+/// noise of the circuit at hand — see
+/// [`CrossbarCircuit::effective_tolerance`].
+const ABS_TOLERANCE: f64 = 1e-13;
+/// Maximum Newton iterations per run of the Newton driver.
+const MAX_ITERATIONS: usize = 60;
+/// Maximum step-halving attempts per Newton iteration.
+const MAX_DAMPINGS: usize = 30;
 
 /// Result of a crossbar operating-point solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,6 +117,76 @@ pub struct SolveReport {
     /// Block Gauss–Seidel sweeps summed over the solve's Newton
     /// corrections (0 when no correction ran).
     pub bgs_sweeps: usize,
+}
+
+/// Where one run of the Newton driver ([`CrossbarCircuit::newton`])
+/// starts, and what it carries between residual evaluations — the only
+/// things that differ between a cold and an amortized solve.
+#[derive(Default)]
+struct NewtonStart<'a> {
+    /// Initial node voltages: the driven guess, or a previous
+    /// converged sample's operating point.
+    x: Vec<f64>,
+    /// Operator for the first correction: the cached frozen
+    /// factorization (a chord step), or `None` for the exact Jacobian.
+    first_operator: Option<&'a JacobianFactorization>,
+    /// KCL residual and per-cell `dI/dV` at `x` when transferred from
+    /// the previous sample; `None` evaluates them.
+    linearization: Option<(Vec<f64>, Vec<f64>)>,
+    /// Series cells' internal-node voltages carried between
+    /// evaluations; `None` restarts every evaluation from the
+    /// linear-divider estimate, so results depend on `(v, x)` only.
+    internal: Option<&'a mut [f64]>,
+}
+
+impl NewtonStart<'_> {
+    /// Exact Newton from `x`: exact first correction, evaluated
+    /// residual, no carried internal state.
+    fn exact(x: Vec<f64>) -> Self {
+        NewtonStart {
+            x,
+            ..Default::default()
+        }
+    }
+}
+
+/// A converged Newton run: the operating point, its linearization, and
+/// the effort spent.
+struct NewtonRun {
+    x: Vec<f64>,
+    residual: Vec<f64>,
+    gd: Vec<f64>,
+    residual_norm: f64,
+    iterations: usize,
+    dampings: usize,
+    bgs_sweeps: usize,
+}
+
+impl NewtonRun {
+    fn into_report(self, circuit: &CrossbarCircuit, warm_start: bool) -> SolveReport {
+        let (rows, cols) = (circuit.rows(), circuit.cols());
+        let g_sink = 1.0 / circuit.params.r_sink;
+        let currents = (0..cols)
+            .map(|j| g_sink * self.x[circuit.b_idx(rows - 1, j)])
+            .collect();
+        SolveReport {
+            currents,
+            node_voltages: self.x,
+            newton_iterations: self.iterations,
+            residual_norm: self.residual_norm,
+            dampings: self.dampings,
+            warm_start,
+            bgs_sweeps: self.bgs_sweeps,
+        }
+    }
+}
+
+/// A Newton run that stopped short of tolerance: why, and the best
+/// iterate it reached (damped acceptance only ever lowers the
+/// residual, so it is never worse than the start).
+struct Stalled {
+    error: XbarError,
+    x: Vec<f64>,
 }
 
 /// The per-junction device, selected by [`crate::NonIdealityConfig`].
@@ -164,21 +209,15 @@ impl Cell {
         }
     }
 
+    /// Current and differential conductance from one device evaluation.
+    /// Series cells start their internal-node solve from `u` (`None` or
+    /// NaN = the linear-divider estimate) and write the converged
+    /// voltage back; two-terminal cells have no internal node and
+    /// ignore `u`. See `device::SeriesPair::current_and_didv_warm`.
     #[inline]
-    fn di_dv(&self, v: f64) -> f64 {
-        match self {
-            Cell::Linear(d) => d.di_dv(v),
-            Cell::Rram(d) => d.di_dv(v),
-            Cell::RramWithAccess(d) => d.di_dv(v),
-            Cell::LinearWithAccess(d) => d.di_dv(v),
-        }
-    }
-
-    /// Current and differential conductance with an internal-node warm
-    /// start (series cells only — two-terminal cells have no internal
-    /// node and ignore `u`). See `device::SeriesPair::current_and_didv_warm`.
-    #[inline]
-    fn current_and_didv_warm(&self, v: f64, u: &mut f64) -> (f64, f64) {
+    fn current_and_didv(&self, v: f64, u: Option<&mut f64>) -> (f64, f64) {
+        let mut fresh = f64::NAN;
+        let u = u.unwrap_or(&mut fresh);
         match self {
             Cell::Linear(d) => d.current_and_didv(v),
             Cell::Rram(d) => d.current_and_didv(v),
@@ -204,7 +243,6 @@ pub struct CrossbarCircuit {
     /// keying ([`Self::solver_key`]) — `cells` holds the compensated
     /// device state, not the programmed values.
     g_values: Vec<f64>,
-    options: NewtonOptions,
     /// Process-unique tile id keying this circuit's trace events.
     tile_id: u64,
 }
@@ -217,20 +255,6 @@ impl CrossbarCircuit {
     /// Returns [`XbarError::Shape`] if `g` does not match the
     /// dimensions in `params`.
     pub fn new(params: &CrossbarParams, g: &ConductanceMatrix) -> Result<Self, XbarError> {
-        Self::with_options(params, g, NewtonOptions::default())
-    }
-
-    /// Like [`CrossbarCircuit::new`] with explicit solver options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XbarError::Shape`] if `g` does not match the
-    /// dimensions in `params`.
-    pub fn with_options(
-        params: &CrossbarParams,
-        g: &ConductanceMatrix,
-        options: NewtonOptions,
-    ) -> Result<Self, XbarError> {
         if g.rows() != params.rows || g.cols() != params.cols {
             return Err(XbarError::Shape(format!(
                 "conductance matrix is {}x{} but crossbar is {}x{}",
@@ -281,15 +305,14 @@ impl CrossbarCircuit {
             params: params.clone(),
             cells,
             g_values: g.as_slice().to_vec(),
-            options,
             tile_id: NEXT_TILE_ID.fetch_add(1, Ordering::Relaxed),
         })
     }
 
     /// Content key identifying everything the solver's cached state
     /// depends on: the design parameters (including device model and
-    /// non-ideality configuration), the programmed conductance matrix,
-    /// and the Newton options.
+    /// non-ideality configuration) and the programmed conductance
+    /// matrix.
     ///
     /// Two circuits with equal keys are interchangeable for solving —
     /// [`SolverCache`]s key their factorizations and warm starts by
@@ -300,8 +323,7 @@ impl CrossbarCircuit {
     pub fn solver_key(&self) -> store::Key {
         let mut key = store::KeyBuilder::new(*b"solv");
         key.nested("params", &self.params)
-            .f64_slice("g", &self.g_values)
-            .nested("newton", &self.options);
+            .f64_slice("g", &self.g_values);
         key.finish()
     }
 
@@ -341,7 +363,9 @@ impl CrossbarCircuit {
         &self.cells[i * self.cols() + j]
     }
 
-    /// Solves the DC operating point for input voltages `v`.
+    /// Solves the DC operating point for input voltages `v`: exact
+    /// damped Newton from the driven guess (word lines at their input
+    /// voltage, bit lines at virtual ground).
     ///
     /// # Errors
     ///
@@ -350,24 +374,22 @@ impl CrossbarCircuit {
     /// * [`XbarError::NewtonDiverged`] if the Newton iteration fails
     ///   to reach tolerance.
     pub fn solve(&self, v: &[f64]) -> Result<SolveReport, XbarError> {
-        self.solve_with_guess(v, None)
+        self.check_inputs(v)?;
+        let t_start = telemetry::enabled().then(Instant::now);
+        let _trace = self.trace_solve("xbar.solve", false);
+        let report = if self.params.nonideality.parasitics {
+            self.newton(v, NewtonStart::exact(self.driven_guess(v)))
+                .map_err(|stalled| stalled.error)?
+                .into_report(self, false)
+        } else {
+            self.solve_without_parasitics(v)
+        };
+        self.record_solve(t_start, false, &report);
+        Ok(report)
     }
 
-    /// Like [`solve`](CrossbarCircuit::solve) but seeding Newton from a
-    /// previous operating point's node voltages. Sequences of related
-    /// stimuli (the functional simulator's stream batches) converge in
-    /// 1–2 iterations from a warm start instead of 4–6 from cold.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve`](CrossbarCircuit::solve); a wrong-length guess
-    /// is an additional [`XbarError::Shape`].
-    pub fn solve_with_guess(
-        &self,
-        v: &[f64],
-        guess: Option<&[f64]>,
-    ) -> Result<SolveReport, XbarError> {
-        let (rows, cols) = (self.rows(), self.cols());
+    fn check_inputs(&self, v: &[f64]) -> Result<(), XbarError> {
+        let rows = self.rows();
         if v.len() != rows {
             return Err(XbarError::Shape(format!(
                 "{} input voltages for {rows} word lines",
@@ -377,101 +399,140 @@ impl CrossbarCircuit {
         if !v.iter().all(|x| x.is_finite()) {
             return Err(XbarError::OutOfRange("input voltage is non-finite".into()));
         }
+        Ok(())
+    }
 
-        let t_start = telemetry::enabled().then(Instant::now);
-        // Raw trace scope (not `telemetry::span`): solves run millions
-        // of times, so the per-solve path must not allocate span paths
-        // or register timers. The RAII guard also closes the trace
-        // span on every error return below.
-        let tracing = telemetry::trace_active();
-        let _trace = tracing.then(|| {
+    /// Opens the solve's trace span when tracing is on. A raw trace
+    /// scope (not `telemetry::span`): solves run millions of times, so
+    /// the per-solve path must not allocate span paths or register
+    /// timers. The RAII guard also closes the span on every error
+    /// return.
+    fn trace_solve(&self, name: &str, warm: bool) -> Option<telemetry::TraceScope> {
+        telemetry::trace_active().then(|| {
             telemetry::trace_scope(
-                "xbar.solve",
+                name,
                 vec![
                     ("tile".to_string(), telemetry::Json::from(self.tile_id)),
-                    ("rows".to_string(), telemetry::Json::from(rows)),
-                    ("cols".to_string(), telemetry::Json::from(cols)),
-                    ("warm".to_string(), telemetry::Json::Bool(guess.is_some())),
+                    ("rows".to_string(), telemetry::Json::from(self.rows())),
+                    ("cols".to_string(), telemetry::Json::from(self.cols())),
+                    ("warm".to_string(), telemetry::Json::Bool(warm)),
                 ],
             )
+        })
+    }
+
+    /// Records a successful solve in the `xbar.*` metrics.
+    fn record_solve(&self, t_start: Option<Instant>, amortized: bool, report: &SolveReport) {
+        let Some(t) = t_start else { return };
+        let m = metrics();
+        m.solves.inc();
+        if amortized {
+            m.amortized_solves.inc();
+        }
+        m.solve_time.record(t.elapsed());
+        m.newton_iterations.observe(report.newton_iterations as f64);
+        if self.params.nonideality.parasitics {
+            m.dampings.observe(report.dampings as f64);
+            if report.warm_start {
+                m.warm_starts.inc();
+            } else {
+                m.cold_starts.inc();
+            }
+        }
+    }
+
+    /// Node voltages with every word line at its driven input voltage
+    /// and every bit line at virtual ground: the cold Newton start, and
+    /// the exact operating point when parasitics are disabled.
+    fn driven_guess(&self, v: &[f64]) -> Vec<f64> {
+        let (rows, cols) = (self.rows(), self.cols());
+        let mut x = vec![0.0; 2 * rows * cols];
+        for (line, &vi) in x[..rows * cols].chunks_exact_mut(cols).zip(v) {
+            line.fill(vi);
+        }
+        x
+    }
+
+    /// The one damped Newton loop behind every solve.
+    ///
+    /// Each iteration solves the correction `J·dx = F` by
+    /// [`bgs_correction`](Self::bgs_correction), then halves the step
+    /// until the true KCL residual shrinks; the run converges when the
+    /// residual is within [`effective_tolerance`](Self::effective_tolerance).
+    /// Every correction but a chord-started first one uses the exact
+    /// Jacobian, factored from the `dI/dV` byproduct of the residual
+    /// evaluation that accepted the current iterate. `start` says
+    /// everything that differs between the cold and amortized paths.
+    ///
+    /// # Errors
+    ///
+    /// A [`Stalled`] run carrying [`XbarError::Numerical`] (the sweeps
+    /// failed to contract) or [`XbarError::NewtonDiverged`] (no damped
+    /// step lowered the residual, or the iteration cap was reached),
+    /// plus the best iterate reached.
+    fn newton(&self, v: &[f64], start: NewtonStart<'_>) -> Result<NewtonRun, Stalled> {
+        let NewtonStart {
+            mut x,
+            first_operator,
+            linearization,
+            mut internal,
+        } = start;
+        let n = x.len();
+        let (mut residual, mut gd) = linearization.unwrap_or_else(|| {
+            let (mut residual, mut gd) = (vec![0.0; n], vec![0.0; n / 2]);
+            self.kcl_residual(v, &x, &mut residual, &mut gd, internal.as_deref_mut());
+            (residual, gd)
         });
-
-        if !self.params.nonideality.parasitics {
-            let report = self.solve_without_parasitics(v);
-            if let Some(t) = t_start {
-                let m = metrics();
-                m.solves.inc();
-                m.solve_time.record(t.elapsed());
-                m.newton_iterations.observe(0.0);
-            }
-            return Ok(report);
-        }
-
-        let n = 2 * rows * cols;
-        // Initial guess: a caller-provided previous solution, or word
-        // lines at their driven voltage with bit lines at virtual
-        // ground.
-        let mut x = vec![0.0; n];
-        match guess {
-            Some(g) => {
-                if g.len() != n {
-                    return Err(XbarError::Shape(format!(
-                        "warm-start guess has {} entries for {n} nodes",
-                        g.len()
-                    )));
-                }
-                x.copy_from_slice(g);
-            }
-            None => {
-                for i in 0..rows {
-                    for j in 0..cols {
-                        x[self.w_idx(i, j)] = v[i];
-                    }
-                }
-            }
-        }
-
-        let mut residual = vec![0.0; n];
-        self.kcl_residual(v, &x, &mut residual);
         let mut res_norm = linalg::vec_ops::norm_inf(&residual);
-
         let tolerance = self.effective_tolerance(v);
+        let tracing = telemetry::trace_active();
 
+        let (mut trial, mut trial_res, mut trial_gd) =
+            (vec![0.0; n], vec![0.0; n], vec![0.0; n / 2]);
         let mut iterations = 0;
-        let mut dampings_total = 0usize;
+        let mut dampings = 0usize;
         let mut bgs_sweeps = 0usize;
-        while res_norm > tolerance && iterations < self.options.max_iterations {
-            // Exact Newton: linearize every cell at `x`, factor once,
-            // sweep against the factors.
-            let fact = self.factorize_at(self.cell_conductances(&x));
-            let (dx, sweeps) = self.bgs_correction(&fact, &residual)?;
-            bgs_sweeps += sweeps;
+        while res_norm > tolerance && iterations < MAX_ITERATIONS {
+            let correction = match first_operator.filter(|_| iterations == 0) {
+                Some(frozen) => self.bgs_correction(frozen, &residual),
+                None => self.bgs_correction(&self.factorize_at(gd.clone()), &residual),
+            };
+            let dx = match correction {
+                Ok((dx, sweeps)) => {
+                    bgs_sweeps += sweeps;
+                    dx
+                }
+                Err(error) => return Err(Stalled { error, x }),
+            };
             // Damped update: halve the step until the residual shrinks.
             let mut scale = 1.0;
             let mut accepted = false;
-            let mut trial = vec![0.0; n];
-            let mut trial_res = vec![0.0; n];
-            for _ in 0..=self.options.max_dampings {
+            for _ in 0..=MAX_DAMPINGS {
                 for k in 0..n {
                     trial[k] = x[k] - scale * dx[k];
                 }
-                self.kcl_residual(v, &trial, &mut trial_res);
+                self.kcl_residual(
+                    v,
+                    &trial,
+                    &mut trial_res,
+                    &mut trial_gd,
+                    internal.as_deref_mut(),
+                );
                 let trial_norm = linalg::vec_ops::norm_inf(&trial_res);
                 if trial_norm < res_norm || trial_norm <= tolerance {
-                    x.copy_from_slice(&trial);
-                    residual.copy_from_slice(&trial_res);
+                    std::mem::swap(&mut x, &mut trial);
+                    std::mem::swap(&mut residual, &mut trial_res);
+                    std::mem::swap(&mut gd, &mut trial_gd);
                     res_norm = trial_norm;
                     accepted = true;
                     break;
                 }
                 scale *= 0.5;
-                dampings_total += 1;
+                dampings += 1;
             }
             if !accepted {
-                return Err(XbarError::NewtonDiverged {
-                    iterations,
-                    residual_norm: res_norm,
-                });
+                // No damped step lowers the residual: diverged.
+                break;
             }
             iterations += 1;
             if tracing {
@@ -490,35 +551,19 @@ impl CrossbarCircuit {
         }
 
         if res_norm > tolerance {
-            return Err(XbarError::NewtonDiverged {
+            let error = XbarError::NewtonDiverged {
                 iterations,
                 residual_norm: res_norm,
-            });
+            };
+            return Err(Stalled { error, x });
         }
-
-        let g_sink = 1.0 / self.params.r_sink;
-        let currents = (0..cols)
-            .map(|j| g_sink * x[self.b_idx(rows - 1, j)])
-            .collect();
-        if let Some(t) = t_start {
-            let m = metrics();
-            m.solves.inc();
-            m.solve_time.record(t.elapsed());
-            m.newton_iterations.observe(iterations as f64);
-            m.dampings.observe(dampings_total as f64);
-            if guess.is_some() {
-                m.warm_starts.inc();
-            } else {
-                m.cold_starts.inc();
-            }
-        }
-        Ok(SolveReport {
-            currents,
-            node_voltages: x,
-            newton_iterations: iterations,
+        Ok(NewtonRun {
+            x,
+            residual,
+            gd,
             residual_norm: res_norm,
-            dampings: dampings_total,
-            warm_start: guess.is_some(),
+            iterations,
+            dampings,
             bgs_sweeps,
         })
     }
@@ -533,15 +578,9 @@ impl CrossbarCircuit {
                 currents[j] += self.cell(i, j).current(v[i]);
             }
         }
-        let mut node_voltages = vec![0.0; 2 * rows * cols];
-        for i in 0..rows {
-            for j in 0..cols {
-                node_voltages[self.w_idx(i, j)] = v[i];
-            }
-        }
         SolveReport {
             currents,
-            node_voltages,
+            node_voltages: self.driven_guess(v),
             newton_iterations: 0,
             residual_norm: 0.0,
             dampings: 0,
@@ -563,9 +602,7 @@ impl CrossbarCircuit {
             .max(1.0 / self.params.r_source)
             .max(1.0 / self.params.r_sink);
         let v_max = v.iter().fold(0.0f64, |a, &b| a.max(b.abs())).max(1e-6);
-        self.options
-            .abs_tolerance
-            .max(64.0 * f64::EPSILON * g_max * v_max)
+        ABS_TOLERANCE.max(64.0 * f64::EPSILON * g_max * v_max)
     }
 
     /// Recomputes the infinity-norm KCL residual of candidate node
@@ -586,8 +623,7 @@ impl CrossbarCircuit {
             // and the residual notion is vacuous.
             return Ok(0.0);
         }
-        let mut residual = vec![0.0; x.len()];
-        self.kcl_residual(v, x, &mut residual);
+        let (residual, _) = self.kcl_linearization(v, x)?;
         Ok(linalg::vec_ops::norm_inf(&residual))
     }
 
@@ -611,9 +647,9 @@ impl CrossbarCircuit {
         x: &[f64],
     ) -> Result<(Vec<f64>, Vec<f64>), XbarError> {
         self.check_operating_point(v, x)?;
-        let mut residual = vec![0.0; x.len()];
-        self.kcl_residual(v, x, &mut residual);
-        Ok((residual, self.cell_conductances(x)))
+        let (mut residual, mut gd) = (vec![0.0; x.len()], vec![0.0; x.len() / 2]);
+        self.kcl_residual(v, x, &mut residual, &mut gd, None);
+        Ok((residual, gd))
     }
 
     fn check_operating_point(&self, v: &[f64], x: &[f64]) -> Result<(), XbarError> {
@@ -634,23 +670,28 @@ impl CrossbarCircuit {
         Ok(())
     }
 
-    /// Per-cell differential conductances `dI/dV` at node voltages `x`,
-    /// row-major.
-    fn cell_conductances(&self, x: &[f64]) -> Vec<f64> {
-        let (rows, cols) = (self.rows(), self.cols());
-        let mut gd = vec![0.0; rows * cols];
-        for i in 0..rows {
-            for j in 0..cols {
-                gd[i * cols + j] = self
-                    .cell(i, j)
-                    .di_dv(x[self.w_idx(i, j)] - x[self.b_idx(i, j)]);
-            }
-        }
-        gd
-    }
-
-    /// KCL residual `F(x)`: net current leaving each node.
-    fn kcl_residual(&self, v: &[f64], x: &[f64], out: &mut [f64]) {
+    /// KCL residual `F(x)` — the net current leaving each node — into
+    /// `out`, and every cell's differential conductance `dI/dV` at `x`
+    /// into `gd` (row-major). The conductance is a byproduct of the
+    /// same device evaluation that produced the cell's current, so a
+    /// Newton step gets its exact Jacobian without a second per-cell
+    /// solve.
+    ///
+    /// `u` carries the series cells' internal-node voltages from one
+    /// evaluation into the next (row-major, NaN = no guess), so each
+    /// per-cell scalar Newton converges in 1–2 iterations across the
+    /// amortized path's repeated evaluations and across consecutive
+    /// batch samples. `None` starts every cell from its linear-divider
+    /// estimate, which makes the result a pure function of `(v, x)`.
+    /// The two agree to the device solver's tolerance.
+    fn kcl_residual(
+        &self,
+        v: &[f64],
+        x: &[f64],
+        out: &mut [f64],
+        gd: &mut [f64],
+        mut u: Option<&mut [f64]>,
+    ) {
         let (rows, cols) = (self.rows(), self.cols());
         let g_src = 1.0 / self.params.r_source;
         let g_snk = 1.0 / self.params.r_sink;
@@ -688,75 +729,12 @@ impl CrossbarCircuit {
             for j in 0..cols {
                 let wn = self.w_idx(i, j);
                 let bn = self.b_idx(i, j);
-                let idev = self.cell(i, j).current(x[wn] - x[bn]);
+                let k = i * cols + j;
+                let uk = u.as_deref_mut().map(|u| &mut u[k]);
+                let (idev, g) = self.cell(i, j).current_and_didv(x[wn] - x[bn], uk);
                 out[wn] += idev;
                 out[bn] -= idev;
-            }
-        }
-    }
-
-    /// [`Self::kcl_residual`] with per-cell internal-node warm starts
-    /// and a free Jacobian refresh:
-    ///
-    /// * `u[i * cols + j]` carries the series cell's internal voltage
-    ///   from the previous evaluation into the next one (NaN = no
-    ///   guess), so the per-cell scalar Newton converges in 1–2
-    ///   iterations across the amortized loop's repeated evaluations
-    ///   and across consecutive batch samples.
-    /// * `gd[i * cols + j]` receives each cell's differential
-    ///   conductance at this operating point — a byproduct of the same
-    ///   internal solve that produced the current, so the amortized
-    ///   Newton loop gets a fresh Jacobian without the second
-    ///   per-cell device solve the cold path pays.
-    ///
-    /// The residual values themselves match `kcl_residual` to the
-    /// device solver's tolerance.
-    pub(crate) fn kcl_residual_warm(
-        &self,
-        v: &[f64],
-        x: &[f64],
-        out: &mut [f64],
-        u: &mut [f64],
-        gd: &mut [f64],
-    ) {
-        let (rows, cols) = (self.rows(), self.cols());
-        let g_src = 1.0 / self.params.r_source;
-        let g_snk = 1.0 / self.params.r_sink;
-        let g_w = 1.0 / self.params.r_wire;
-        out.fill(0.0);
-
-        for i in 0..rows {
-            let w0 = self.w_idx(i, 0);
-            out[w0] += g_src * (x[w0] - v[i]);
-            for j in 0..cols.saturating_sub(1) {
-                let a = self.w_idx(i, j);
-                let b = self.w_idx(i, j + 1);
-                let iw = g_w * (x[a] - x[b]);
-                out[a] += iw;
-                out[b] -= iw;
-            }
-        }
-        for j in 0..cols {
-            for i in 0..rows.saturating_sub(1) {
-                let a = self.b_idx(i, j);
-                let b = self.b_idx(i + 1, j);
-                let iw = g_w * (x[a] - x[b]);
-                out[a] += iw;
-                out[b] -= iw;
-            }
-            let bl = self.b_idx(rows - 1, j);
-            out[bl] += g_snk * x[bl];
-        }
-        for i in 0..rows {
-            for j in 0..cols {
-                let wn = self.w_idx(i, j);
-                let bn = self.b_idx(i, j);
-                let (idev, g) = self
-                    .cell(i, j)
-                    .current_and_didv_warm(x[wn] - x[bn], &mut u[i * cols + j]);
-                out[wn] += idev;
-                out[bn] -= idev;
-                gd[i * cols + j] = g;
+                gd[k] = g;
             }
         }
     }
@@ -767,7 +745,8 @@ impl CrossbarCircuit {
     /// [`SolverCache::for_circuit`] and the process-wide registry; not
     /// per solve.
     pub(crate) fn factorize(&self) -> JacobianFactorization {
-        self.factorize_at(self.cells.iter().map(|cell| cell.di_dv(0.0)).collect())
+        let at_zero = |cell: &Cell| cell.current_and_didv(0.0, None).1;
+        self.factorize_at(self.cells.iter().map(at_zero).collect())
     }
 
     /// Builds the correction operator at the linearization point whose
@@ -866,8 +845,8 @@ impl CrossbarCircuit {
         let off = -1.0 / self.params.r_wire;
         let gd = &fact.gd;
 
-        let mut dw = vec![0.0; half];
-        let mut db = vec![0.0; half];
+        let mut dx = vec![0.0; 2 * half];
+        let (dw, db) = dx.split_at_mut(half);
         let mut rhs = vec![0.0; cols.max(rows)];
         let mut sol = vec![0.0; cols.max(rows)];
 
@@ -938,18 +917,15 @@ impl CrossbarCircuit {
             metrics().bgs_sweeps.observe(sweeps as f64);
         }
 
-        let mut dx = vec![0.0; 2 * half];
-        dx[..half].copy_from_slice(&dw);
-        dx[half..].copy_from_slice(&db);
         Ok((dx, sweeps))
     }
 
     /// Like [`solve`](Self::solve), amortizing the per-solve setup
-    /// through `cache`: a cold start's first correction reuses the
-    /// cached frozen factorization, later corrections factor the exact
-    /// Jacobian from the `dI/dV` byproduct of the residual evaluation
-    /// (no second device solve), and the iteration warm-starts from the
-    /// previous converged sample's node voltages.
+    /// through `cache`: the iteration warm-starts from the previous
+    /// converged sample's node voltages, transferring its residual to
+    /// the new inputs in O(rows); a cold start's first correction
+    /// reuses the cached frozen factorization; and series cells carry
+    /// their internal-node voltages from one evaluation to the next.
     ///
     /// # Correctness contract
     ///
@@ -958,15 +934,16 @@ impl CrossbarCircuit {
     /// and convergence is declared by the same
     /// [`effective_tolerance`](Self::effective_tolerance) test as the
     /// cold path — so an accepted solve is exactly as converged as a
-    /// cold one (the `oracle/solver_amortized_vs_cold` conformance law
+    /// cold one (the `oracle/amortized_vs_cold_solve` conformance law
     /// holds the two within solver tolerance; a warm start from an
     /// already-converged point returns bit-identically — see
-    /// `oracle/solver_warm_start_fixed_point`). If the chord iteration
+    /// `oracle/warm_start_fixed_point`). If the chord iteration
     /// stalls — possible in principle far from zero bias, where the
     /// frozen linearization is a poor chord — the solve transparently
-    /// falls back to the exact cold path (counted by the telemetry
-    /// counter `xbar.amortized.fallbacks`, observed never to fire on
-    /// the paper's workloads).
+    /// reruns the Newton driver as exact Newton from the best iterate
+    /// reached (counted by the telemetry counter
+    /// `xbar.amortized.fallbacks`, observed never to fire on the
+    /// paper's workloads).
     ///
     /// The cache re-keys itself if `self`'s content changed since it
     /// was built (see [`SolverCache`]); on any error the warm start is
@@ -980,241 +957,82 @@ impl CrossbarCircuit {
         v: &[f64],
         cache: &mut SolverCache,
     ) -> Result<SolveReport, XbarError> {
-        let (rows, cols) = (self.rows(), self.cols());
-        if v.len() != rows {
-            return Err(XbarError::Shape(format!(
-                "{} input voltages for {rows} word lines",
-                v.len()
-            )));
-        }
-        if !v.iter().all(|x| x.is_finite()) {
-            return Err(XbarError::OutOfRange("input voltage is non-finite".into()));
-        }
+        self.check_inputs(v)?;
         cache.ensure(self);
-
         let t_start = telemetry::enabled().then(Instant::now);
-        let tracing = telemetry::trace_active();
         let warm = cache.take_warm();
-        let _trace = tracing.then(|| {
-            telemetry::trace_scope(
-                "xbar.solve_amortized",
-                vec![
-                    ("tile".to_string(), telemetry::Json::from(self.tile_id)),
-                    ("rows".to_string(), telemetry::Json::from(rows)),
-                    ("cols".to_string(), telemetry::Json::from(cols)),
-                    ("warm".to_string(), telemetry::Json::Bool(warm.is_some())),
-                ],
-            )
-        });
-
+        let warm_started = warm.is_some();
+        let _trace = self.trace_solve("xbar.solve_amortized", warm_started);
         if !self.params.nonideality.parasitics {
             let report = self.solve_without_parasitics(v);
-            if let Some(t) = t_start {
-                let m = metrics();
-                m.solves.inc();
-                m.amortized_solves.inc();
-                m.solve_time.record(t.elapsed());
-                m.newton_iterations.observe(0.0);
-            }
+            self.record_solve(t_start, true, &report);
             return Ok(report);
         }
 
-        let n = 2 * rows * cols;
-        let fact = cache.factorization().clone();
-        // Per-cell internal-node voltages, carried across evaluations
-        // and across samples: warm-starts each series cell's scalar
-        // Newton (the dominant per-evaluation cost on 1T1R cells).
-        let mut u = cache.take_internal(rows * cols);
-        let mut x = vec![0.0; n];
-        let warm_started = match &warm {
-            Some(w) if w.x.len() == n => {
-                x.copy_from_slice(&w.x);
-                true
-            }
-            _ => {
-                for i in 0..rows {
-                    for j in 0..cols {
-                        x[self.w_idx(i, j)] = v[i];
+        // A warm start needs no device evaluation at all: the inputs
+        // enter `F` only through the driver source terms
+        // `g_src (x - v_i)`, so the previous residual transfers to the
+        // new inputs in O(rows), and its `gd` is exact at `x` — so even
+        // the first step is a true Newton step rather than a chord step
+        // (worth a whole outer iteration per sample). The adjustment
+        // cap bounds accumulated driver-node rounding (each pass adds
+        // ~1 ulp; 32 of them stay ~1e-17 A, five orders below the solve
+        // tolerance); past it the residual is re-evaluated.
+        let mut adjustments = 0u32;
+        let (x, linearization) = match warm {
+            Some(mut w) => {
+                let transferred = (w.adjustments < 32).then(|| {
+                    let g_src = 1.0 / self.params.r_source;
+                    for (i, (&old, &new)) in w.v.iter().zip(v).enumerate() {
+                        w.residual[self.w_idx(i, 0)] += g_src * (old - new);
                     }
-                }
-                false
+                    adjustments = w.adjustments + 1;
+                    (w.residual, w.gd)
+                });
+                (w.x, transferred)
             }
+            None => (self.driven_guess(v), None),
         };
 
-        let half = rows * cols;
-        let mut residual = vec![0.0; n];
-        // `gd` tracks the per-cell differential conductances at the
-        // accepted iterate `x` — refreshed for free by every residual
-        // evaluation (`trial_gd` holds the candidate's until accepted).
-        let mut gd = vec![0.0; half];
-        let mut trial_gd = vec![0.0; half];
-        // With a full warm context the initial residual needs no device
-        // evaluation at all: the inputs enter `F` only through the
-        // driver source terms `g_src (x - v_i)`, so the previous
-        // residual transfers to the new inputs in O(rows). The
-        // adjustment cap bounds accumulated driver-node rounding (each
-        // pass adds ~1 ulp; 32 of them stay ~1e-17 A, five orders
-        // below the solve tolerance).
-        let mut adjustments = 0u32;
-        let mut reused_residual = false;
-        if warm_started {
-            if let Some(ctx) = warm.and_then(|w| w.context) {
-                if ctx.v.len() == rows
-                    && ctx.residual.len() == n
-                    && ctx.gd.len() == half
-                    && ctx.adjustments < 32
-                {
-                    residual = ctx.residual;
-                    gd = ctx.gd;
-                    let g_src = 1.0 / self.params.r_source;
-                    for (i, (&v_old, &v_new)) in ctx.v.iter().zip(v).enumerate() {
-                        residual[self.w_idx(i, 0)] += g_src * (v_old - v_new);
-                    }
-                    adjustments = ctx.adjustments + 1;
-                    reused_residual = true;
-                }
-            }
-        }
-        if !reused_residual {
-            self.kcl_residual_warm(v, &x, &mut residual, &mut u, &mut gd);
-        }
-        let mut res_norm = linalg::vec_ops::norm_inf(&residual);
-        let tolerance = self.effective_tolerance(v);
-
-        let mut iterations = 0;
-        let mut dampings_total = 0usize;
-        let mut bgs_sweeps = 0usize;
-        while res_norm > tolerance && iterations < self.options.max_iterations {
-            // First correction on a cold start: the cached
-            // input-independent frozen factorization (shared across
-            // tiles, nothing to build). Every other correction: the
-            // exact Jacobian, factored from the last residual
-            // evaluation's free `gd` byproduct — when the residual was
-            // transferred from the previous sample, `gd` is already
-            // exact at `x`, so even the first step is a true Newton
-            // step rather than a chord step (worth a whole outer
-            // iteration per sample).
-            let correction = if iterations == 0 && !reused_residual {
-                self.bgs_correction(&fact, &residual)
-            } else {
-                self.bgs_correction(&self.factorize_at(gd.clone()), &residual)
-            };
-            let dx = match correction {
-                Ok((dx, sweeps)) => {
-                    bgs_sweeps += sweeps;
-                    dx
-                }
-                Err(_) => {
-                    cache.set_internal(u);
-                    return self.amortized_fallback(v, &x, cache);
-                }
-            };
-            let mut scale = 1.0;
-            let mut accepted = false;
-            let mut trial = vec![0.0; n];
-            let mut trial_res = vec![0.0; n];
-            for _ in 0..=self.options.max_dampings {
-                for k in 0..n {
-                    trial[k] = x[k] - scale * dx[k];
-                }
-                self.kcl_residual_warm(v, &trial, &mut trial_res, &mut u, &mut trial_gd);
-                let trial_norm = linalg::vec_ops::norm_inf(&trial_res);
-                if trial_norm < res_norm || trial_norm <= tolerance {
-                    x.copy_from_slice(&trial);
-                    residual.copy_from_slice(&trial_res);
-                    std::mem::swap(&mut gd, &mut trial_gd);
-                    res_norm = trial_norm;
-                    accepted = true;
-                    break;
-                }
-                scale *= 0.5;
-                dampings_total += 1;
-            }
-            if !accepted {
-                cache.set_internal(u);
-                return self.amortized_fallback(v, &x, cache);
-            }
-            iterations += 1;
-            if tracing {
-                telemetry::trace_instant(
-                    "xbar.newton_iter",
-                    vec![
-                        ("tile".to_string(), telemetry::Json::from(self.tile_id)),
-                        ("iter".to_string(), telemetry::Json::from(iterations)),
-                        ("residual".to_string(), telemetry::Json::Num(res_norm)),
-                    ],
-                );
-            }
-        }
-
-        if res_norm > tolerance {
-            cache.set_internal(u);
-            return self.amortized_fallback(v, &x, cache);
-        }
-
-        let g_sink = 1.0 / self.params.r_sink;
-        let currents = (0..cols)
-            .map(|j| g_sink * x[self.b_idx(rows - 1, j)])
-            .collect();
-        if let Some(t) = t_start {
-            let m = metrics();
-            m.solves.inc();
-            m.amortized_solves.inc();
-            m.solve_time.record(t.elapsed());
-            m.newton_iterations.observe(iterations as f64);
-            m.dampings.observe(dampings_total as f64);
-            if warm_started {
-                m.warm_starts.inc();
-            } else {
-                m.cold_starts.inc();
-            }
-        }
+        let mut u = cache.take_internal(self.rows() * self.cols());
+        let chord = self.newton(
+            v,
+            NewtonStart {
+                x,
+                // A cold start's first correction: the cached
+                // input-independent frozen factorization (shared across
+                // tiles, nothing to build).
+                first_operator: linearization.is_none().then(|| &**cache.factorization()),
+                linearization,
+                internal: Some(&mut u),
+            },
+        );
         cache.set_internal(u);
-        // A solve that iterated re-evaluated its residual from scratch,
-        // so the adjustment chain restarts.
-        if iterations > 0 {
-            adjustments = 0;
-        }
-        cache.set_warm(WarmState {
-            x: x.clone(),
-            context: Some(WarmContext {
-                v: v.to_vec(),
-                residual: residual.clone(),
-                gd: gd.clone(),
-                adjustments,
-            }),
-        });
-        Ok(SolveReport {
-            currents,
-            node_voltages: x,
-            newton_iterations: iterations,
-            residual_norm: res_norm,
-            dampings: dampings_total,
-            warm_start: warm_started,
-            bgs_sweeps,
-        })
-    }
-
-    /// Correctness net for the amortized path: exact damped Newton
-    /// seeded from the best iterate the chord reached. `x` only ever
-    /// improves the residual (damped acceptance), so the seed is never
-    /// worse than the amortized solve's own starting point.
-    fn amortized_fallback(
-        &self,
-        v: &[f64],
-        x: &[f64],
-        cache: &mut SolverCache,
-    ) -> Result<SolveReport, XbarError> {
-        if telemetry::enabled() {
-            metrics().amortized_fallbacks.inc();
-        }
-        let report = self.solve_with_guess(v, Some(x))?;
-        // The exact path reports voltages only, so the next warm solve
-        // re-evaluates its initial residual (context: None).
-        cache.set_warm(WarmState {
-            x: report.node_voltages.clone(),
-            context: None,
-        });
+        let mut run = match chord {
+            Ok(run) => run,
+            Err(stalled) => {
+                // Correctness net: exact Newton seeded from the best
+                // iterate the chord reached, which is never worse than
+                // this solve's own start.
+                if telemetry::enabled() {
+                    metrics().amortized_fallbacks.inc();
+                }
+                self.newton(v, NewtonStart::exact(stalled.x))
+                    .map_err(|stalled| stalled.error)?
+            }
+        };
+        let next = WarmState {
+            x: run.x.clone(),
+            v: v.to_vec(),
+            residual: std::mem::take(&mut run.residual),
+            gd: std::mem::take(&mut run.gd),
+            // A solve that iterated re-evaluated its residual from
+            // scratch, so the adjustment chain restarts.
+            adjustments: if run.iterations > 0 { 0 } else { adjustments },
+        };
+        let report = run.into_report(self, warm_started);
+        self.record_solve(t_start, true, &report);
+        cache.set_warm(next);
         Ok(report)
     }
 
@@ -1298,6 +1116,10 @@ mod tests {
 
     fn params(rows: usize, cols: usize) -> CrossbarParams {
         CrossbarParams::builder(rows, cols).build().unwrap()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     /// Factors `tridiag(off, diag, off)` and solves it for `rhs`
@@ -1387,8 +1209,8 @@ mod tests {
         let circuit = CrossbarCircuit::new(&p, &g).unwrap();
         let v = vec![0.25, 0.0, 0.125, 0.25, 0.0625, 0.1875];
         let report = circuit.solve(&v).unwrap();
-        let mut res = vec![0.0; p.node_count()];
-        circuit.kcl_residual(&v, &report.node_voltages, &mut res);
+        let (mut res, mut gd) = (vec![0.0; p.node_count()], vec![0.0; 30]);
+        circuit.kcl_residual(&v, &report.node_voltages, &mut res, &mut gd, None);
         assert!(linalg::vec_ops::norm_inf(&res) <= 1e-13);
     }
 
@@ -1447,11 +1269,11 @@ mod tests {
         assert!(cold.newton_iterations > 0);
         assert!(cold.bgs_sweeps >= cold.newton_iterations);
 
-        // Warm start from the converged point: flagged, and no harder
-        // than the cold solve.
-        let warm = circuit
-            .solve_with_guess(&v, Some(&cold.node_voltages))
-            .unwrap();
+        // A second amortized solve warm-starts from the first one's
+        // converged point: flagged, and no harder than the cold solve.
+        let mut cache = crate::SolverCache::for_circuit(&circuit);
+        circuit.solve_amortized(&v, &mut cache).unwrap();
+        let warm = circuit.solve_amortized(&v, &mut cache).unwrap();
         assert!(warm.warm_start);
         assert!(warm.newton_iterations <= cold.newton_iterations);
         assert!(warm.bgs_sweeps <= cold.bgs_sweeps);
@@ -1488,7 +1310,10 @@ mod tests {
             circuit.verify_kcl(&v, &x).unwrap()
         );
         let dv = x[circuit.w_idx(1, 2)] - x[circuit.b_idx(1, 2)];
-        assert_eq!(gd[6], circuit.cell(1, 2).di_dv(dv));
+        let Cell::RramWithAccess(device) = circuit.cell(1, 2) else {
+            panic!("default parameters model 1T1R cells");
+        };
+        assert_eq!(gd[6], device.di_dv(dv));
         assert!(circuit.kcl_linearization(&v[..2], &x).is_err());
         assert!(circuit.kcl_linearization(&v, &x[..5]).is_err());
     }
@@ -1650,14 +1475,69 @@ mod tests {
         let circuit = CrossbarCircuit::new(&p, &g).unwrap();
         let fact = circuit.factorize();
         let x0 = vec![0.0; p.node_count()];
+        let gd = circuit.kcl_linearization(&[0.0; 5], &x0).unwrap().1;
         let f: Vec<f64> = (0..p.node_count())
             .map(|k| 1e-6 * ((k % 7) as f64 - 3.0))
             .collect();
         let fresh = circuit
-            .bgs_correction(&circuit.factorize_at(circuit.cell_conductances(&x0)), &f)
+            .bgs_correction(&circuit.factorize_at(gd), &f)
             .unwrap();
         let frozen = circuit.bgs_correction(&fact, &f).unwrap();
         assert_eq!(frozen, fresh);
+    }
+
+    #[test]
+    fn linear_circuits_take_one_path() {
+        // With linear devices the frozen operator is the exact Jacobian
+        // and the carried internal-node state is empty, so a fresh
+        // cache's amortized solve runs the very iteration a cold solve
+        // runs: same bits, same iteration count.
+        for (n, seed) in [(6usize, 1u64), (16, 2), (33, 3), (64, 4)] {
+            let mut p = params(n, n);
+            p.nonideality = NonIdealityConfig::linear_only();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = ConductanceMatrix::random_sparse(&p, 0.5, &mut rng);
+            let circuit = CrossbarCircuit::new(&p, &g).unwrap();
+            for sample in 0..5 {
+                let v: Vec<f64> = (0..n)
+                    .map(|i| p.v_supply * ((i * 7 + sample * 3) % 5) as f64 / 4.0)
+                    .collect();
+                let cold = circuit.solve(&v).unwrap();
+                let mut cache = crate::SolverCache::for_circuit(&circuit);
+                let amortized = circuit.solve_amortized(&v, &mut cache).unwrap();
+                assert_eq!(
+                    bits(&amortized.currents),
+                    bits(&cold.currents),
+                    "{n}² #{sample}"
+                );
+                assert_eq!(bits(&amortized.node_voltages), bits(&cold.node_voltages));
+                assert_eq!(amortized.newton_iterations, cold.newton_iterations);
+            }
+        }
+    }
+
+    #[test]
+    fn kcl_checks_are_pure_in_operating_point() {
+        // `verify_kcl` and `kcl_linearization` must not read the
+        // internal-node state an amortized solve carries: the same
+        // (v, x) gives the same bits before and after a batch, on the
+        // solving instance and on a clone.
+        let p = params(6, 6);
+        let mut rng = StdRng::seed_from_u64(31);
+        let g = ConductanceMatrix::random_sparse(&p, 0.5, &mut rng);
+        let circuit = CrossbarCircuit::new(&p, &g).unwrap();
+        let v = vec![0.25, 0.125, 0.0, 0.1875, 0.0625, 0.25];
+        let x = circuit.solve(&v).unwrap().node_voltages;
+        let probe = |c: &CrossbarCircuit| {
+            let (f, gd) = c.kcl_linearization(&v, &x).unwrap();
+            (c.verify_kcl(&v, &x).unwrap().to_bits(), bits(&f), bits(&gd))
+        };
+        let before = probe(&circuit);
+        let mut cache = crate::SolverCache::for_circuit(&circuit);
+        let volts: Vec<f64> = (0..4 * 6).map(|k| 0.05 * (k % 6) as f64).collect();
+        circuit.solve_batch(&volts, 4, &mut cache).unwrap();
+        assert_eq!(probe(&circuit), before);
+        assert_eq!(probe(&circuit.clone()), before);
     }
 
     #[test]

@@ -220,23 +220,16 @@ impl<M: DeviceModel> SeriesPair<M> {
     /// device (spanning `v - u`) and the memristor (spanning `u`) carry
     /// the same current. Returns `(u, i, di_dv_series)`.
     ///
+    /// The scalar Newton starts from `u0` — a warm start from the
+    /// cell's previous internal-node voltage, clamped back into
+    /// `(0, v)` — or, when `u0` is NaN, from the linear divider
+    /// estimate. `f(u)` is strictly decreasing, so the converged `u`
+    /// does not depend on the start; only the iteration count does.
+    ///
     /// The tolerance targets nano-volt accuracy on `u`, which maps to
     /// current errors around `G · 1e-9 ≈ 1e-14 A` — far below both the
     /// circuit solver's residual tolerance and any ADC resolution.
-    fn solve_internal(&self, v: f64) -> (f64, f64, f64) {
-        // Start from the linear divider estimate.
-        let ga0 = self.access.small_signal_g();
-        let gr0 = self.inner.small_signal_g();
-        self.solve_internal_from(v, v * ga0 / (ga0 + gr0))
-    }
-
-    /// Like [`solve_internal`](Self::solve_internal) but starting the
-    /// scalar Newton from `u0` — the amortized solve path's hook for
-    /// warm-starting from the cell's previous internal-node voltage
-    /// (out-of-range guesses are clamped back into `(0, v)`). `f(u)` is
-    /// strictly decreasing, so the converged `u` does not depend on the
-    /// start; only the iteration count does.
-    fn solve_internal_from(&self, v: f64, u0: f64) -> (f64, f64, f64) {
+    fn solve_internal(&self, v: f64, u0: f64) -> (f64, f64, f64) {
         if v == 0.0 {
             let ga = self.access.small_signal_g();
             let gr = self.inner.small_signal_g();
@@ -288,10 +281,10 @@ impl<M: DeviceModel> SeriesPair<M> {
     /// same either way (the series constraint is strictly monotone), so
     /// this changes cost, not results. The conductance is the same
     /// byproduct `current_and_didv` returns — handing it out here lets
-    /// the amortized solver refresh its Jacobian without a second
+    /// the circuit solver refresh its Jacobian without a second
     /// internal solve per cell.
     pub(crate) fn current_and_didv_warm(&self, v: f64, u: &mut f64) -> (f64, f64) {
-        let (u_new, i, g) = self.solve_internal_from(v, *u);
+        let (u_new, i, g) = self.solve_internal(v, *u);
         *u = u_new;
         (i, g)
     }
@@ -299,17 +292,17 @@ impl<M: DeviceModel> SeriesPair<M> {
 
 impl<M: DeviceModel> DeviceModel for SeriesPair<M> {
     fn current(&self, v: f64) -> f64 {
-        self.solve_internal(v).1
+        self.solve_internal(v, f64::NAN).1
     }
 
     fn di_dv(&self, v: f64) -> f64 {
         // Implicit-function theorem on the series constraint:
         // 1/g_total = 1/g_acc(v-u) + 1/g_inner(u).
-        self.solve_internal(v).2
+        self.solve_internal(v, f64::NAN).2
     }
 
     fn current_and_didv(&self, v: f64) -> (f64, f64) {
-        let (_, i, g) = self.solve_internal(v);
+        let (_, i, g) = self.solve_internal(v, f64::NAN);
         (i, g)
     }
 }
@@ -398,7 +391,7 @@ mod tests {
         // The current through the cell equals the access-device current
         // at the solved internal node.
         let v = 0.4;
-        let (u, i, g) = cell.solve_internal(v);
+        let (u, i, g) = cell.solve_internal(v, f64::NAN);
         assert!((cell.access.current(v - u) - i).abs() < 1e-12 * i.abs().max(1e-12));
         assert!(u > 0.0 && u < v);
         assert!(g > 0.0);

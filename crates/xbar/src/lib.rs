@@ -74,7 +74,7 @@ pub mod zoo;
 
 pub use analytical::AnalyticalModel;
 pub use cache::{JacobianFactorization, SolverCache};
-pub use circuit::{CrossbarCircuit, NewtonOptions, SolveReport};
+pub use circuit::{CrossbarCircuit, SolveReport};
 pub use conductance::ConductanceMatrix;
 pub use error::XbarError;
 pub use params::{CrossbarParams, CrossbarParamsBuilder, DeviceParams, NonIdealityConfig};
